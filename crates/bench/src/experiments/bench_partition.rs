@@ -5,8 +5,8 @@
 //! land in a machine-readable artifact):
 //!
 //! * `CombinedPartitioner::partition` on the fig21 synthetic cluster at
-//!   `p = 1080`, `n = 2·10⁹`, with and without the per-run evaluation
-//!   cache (the uncached path is the seed behaviour);
+//!   `p = 1080`, `n = 2·10⁹`, with closed-form intersections against the
+//!   same models solved through the numeric intersection search;
 //! * whole-cluster model building (paper §3.1) on the Table 2 testbed,
 //!   pooled vs sequential;
 //! * the packed `matmul_abt_blocked` kernel vs the seed's plain tiled
@@ -34,9 +34,9 @@ use super::fig21::synthetic_cluster;
 use crate::report::{fnum, write_bench_json, Report};
 
 /// A view of a model that hides its closed-form intersection and batched
-/// evaluation overrides, reproducing the seed's probe behaviour: every
-/// intersection found by exponential bracketing + bisection, every speed
-/// evaluated point-wise.
+/// evaluation overrides: every intersection goes through the numeric
+/// search of `geometry::intersect_origin_line`, every speed is evaluated
+/// point-wise.
 struct SeedView<'a>(&'a PiecewiseLinearSpeed);
 
 impl SpeedFunction for SeedView<'_> {
@@ -59,10 +59,10 @@ pub const BENCH_MM_N: usize = 512;
 #[derive(Debug, Clone, Copy)]
 pub struct BenchPartitionResults {
     /// `partition(n, funcs)` with every optimisation on (the default):
-    /// closed-form intersections, batched lookups, evaluation cache.
+    /// closed-form intersections and batched lookups.
     pub partition_optimized_ns: u128,
-    /// The seed behaviour: numeric bracketing + bisection per
-    /// intersection, point-wise probes, no cache (see `SeedView`).
+    /// The same solve with the closed forms hidden: numeric search per
+    /// intersection, point-wise probes (see `SeedView`).
     pub partition_seed_ns: u128,
     /// Cold solve of the near-duplicate size (`BENCH_N + BENCH_N/1000`):
     /// full bracket construction plus the `O(log n)` slope search.
@@ -109,13 +109,12 @@ pub fn measure() -> BenchPartitionResults {
     let funcs = synthetic_cluster(BENCH_P);
     let seed_views: Vec<SeedView<'_>> = funcs.iter().map(SeedView).collect();
     let optimized = CombinedPartitioner::new();
-    let seed = CombinedPartitioner::new().with_eval_cache(false);
     let run_optimized = || {
         let r = optimized.partition(BENCH_N, &funcs).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
     };
     let run_seed = || {
-        let r = seed.partition(BENCH_N, &seed_views).unwrap();
+        let r = optimized.partition(BENCH_N, &seed_views).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
     };
     run_optimized();
@@ -270,7 +269,7 @@ pub fn run() -> Report {
     let results = measure();
     let mut r = Report::new(
         "bench_partition",
-        "Optimised vs seed paths: partition eval cache, pooled model build, packed kernel",
+        "Optimised vs seed paths: closed-form partition, pooled model build, packed kernel",
         &["measurement", "optimised (ns)", "baseline (ns)", "speedup"],
     );
     r.push_row(vec![
@@ -310,7 +309,7 @@ pub fn run() -> Report {
         Ok(path) => r.note(format!("raw medians written to {}", path.display())),
         Err(e) => r.note(format!("could not write BENCH_partition.json: {e}")),
     }
-    r.note("baselines are the seed behaviours: uncached probes, sequential build, plain tiled loop");
+    r.note("baselines are the seed behaviours: numeric intersections, sequential build, plain tiled loop");
     r.note("the sort-sample row compares the nonlinear cost-domain solve against the linear solve (its ratio is the transform's overhead, not a speedup)");
     r
 }

@@ -17,8 +17,6 @@
 //!   x / speed(x)`, which preserves every closed-form and batched
 //!   override so speed-backed solves are bit-identical to the historical
 //!   speed-domain solver;
-//! * [`CachedCost`] — the per-run memoizer the solvers wrap models in
-//!   (the cost-domain successor of [`crate::speed::CachedSpeed`]);
 //! * [`PiecewiseLinearCost`] — measured `(size, time)` knots, the cost
 //!   counterpart of [`crate::speed::PiecewiseLinearSpeed`];
 //! * [`SortCost`] / [`QueryCost`] — borrow-wrapping transforms that
@@ -27,10 +25,8 @@
 //!
 //! [`SpeedFunction`]: crate::speed::SpeedFunction
 
-mod cached;
 mod function;
 mod models;
 
-pub use cached::CachedCost;
 pub use function::{check_increasing_time, CostFunction};
 pub use models::{PiecewiseLinearCost, QueryCost, SortCost};

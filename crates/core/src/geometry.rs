@@ -12,7 +12,8 @@
 //! The shape assumption (`g(x) = s(x)/x` strictly decreasing) guarantees
 //! that the intersection of any origin line with any graph is unique, which
 //! makes [`intersect_origin_line`] a one-dimensional monotone root-finding
-//! problem solved by bisection.
+//! problem: a closed form where the model has one, otherwise a bracketed
+//! regula falsi (Illinois) in log coordinates.
 //!
 //! The machinery is written against the time-domain [`CostFunction`]
 //! contract: `g` is [`CostFunction::rate`] (`= 1/time(x)`), strictly
@@ -68,16 +69,28 @@ const X_ORIGIN: f64 = 1e-9;
 ///   abscissa is clamped to [`CostFunction::max_size`] (or to an internal
 ///   cap of `10^18` for unbounded models).
 ///
-/// The root is located by exponential bracketing followed by bisection to
-/// sub-element precision.
+/// Models without a closed form are solved numerically on the bracket
+/// `[10^-9, max_size]`, whose ends the two clamp tests above have already
+/// evaluated. The inner solve is regula falsi on `ln g` against `ln x`,
+/// where power-law and `x·log x` rates are nearly straight lines, so a
+/// piece-wise sort or query model resolves in about a dozen evaluations.
+/// An end that survives two steps in a row has its residual scaled down
+/// (the Illinois rule, with the Anderson–Björck factor where it is
+/// positive), which keeps kinks and jumps from stalling one side. A trial
+/// that leaves the bracket, or a bracket that fails to halve within
+/// four steps, takes a bisection step in `ln x` instead, so
+/// convergence never depends on the interpolation. The search stops once
+/// the bracket is narrower than `10^-9` relative (absolute below one
+/// element) and returns its midpoint. The result depends only on
+/// `(f, slope)`, never on earlier calls, so warm and cold solves see
+/// identical intersections.
 pub fn intersect_origin_line<F: CostFunction + ?Sized>(f: &F, slope: f64) -> f64 {
     assert!(slope.is_finite() && slope > 0.0, "slope must be positive and finite");
-    let g = |x: f64| f.rate(x);
     let x_max = f.max_size().min(X_CAP);
 
     // Models with a closed-form intersection (piece-wise linear, constant)
-    // skip the bracketing/bisection search entirely — the dominant cost of
-    // every partitioning iteration.
+    // skip the numeric search entirely — the dominant cost of every
+    // partitioning iteration.
     if let Some(x) = f.intersect_slope(slope) {
         debug_assert!(x >= 0.0, "closed-form intersection must be non-negative");
         return x.min(x_max);
@@ -85,43 +98,76 @@ pub fn intersect_origin_line<F: CostFunction + ?Sized>(f: &F, slope: f64) -> f64
 
     // The line is steeper than the graph already at vanishing size: the
     // only intersection is at the origin.
-    if g(X_ORIGIN) <= slope {
+    let g_lo = f.rate(X_ORIGIN);
+    if g_lo <= slope {
         return 0.0;
     }
     // The line never catches the graph within the model's domain.
-    if g(x_max) >= slope {
+    let g_hi = f.rate(x_max);
+    if g_hi >= slope {
         return x_max;
     }
 
-    // Exponential bracketing: find lo with g(lo) > slope and hi with
-    // g(hi) < slope.
-    let mut lo = X_ORIGIN;
-    let mut hi = 1.0_f64.min(x_max);
-    while g(hi) > slope {
-        lo = hi;
-        hi = (hi * 2.0).min(x_max);
-        if hi >= x_max {
+    // Invariant: g(lo) > slope > g(hi). `r_*` are the residuals
+    // ln(g/slope) at the ends — positive at `lo`, negative at `hi`, and
+    // infinite where `g` under- or overflows, which makes the step bisect.
+    let residual = |g: f64| (g / slope).ln();
+    let (mut lo, mut hi) = (X_ORIGIN, x_max);
+    let (mut u_lo, mut u_hi) = (lo.ln(), hi.ln());
+    let (mut r_lo, mut r_hi) = (residual(g_lo), residual(g_hi));
+    // Which end the previous step replaced (+1 lo, -1 hi), for the
+    // Illinois rule, and the bracket width (in ln x) at the last halving
+    // check.
+    let mut side = 0i8;
+    let mut checkpoint = u_hi - u_lo;
+    for step in 1..=200 {
+        let tol = 1e-9 * hi.max(1.0);
+        if hi - lo <= tol {
             break;
         }
-    }
-
-    // Bisection: monotone g makes this unconditionally convergent.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            break; // float resolution reached
+        let mut u = u_hi - r_hi * (u_hi - u_lo) / (r_hi - r_lo);
+        if step % HALVING_WINDOW == 0 {
+            if u_hi - u_lo > 0.5 * checkpoint {
+                u = f64::NAN;
+            }
+            checkpoint = u_hi - u_lo;
         }
-        if g(mid) > slope {
-            lo = mid;
+        if !(u >= u_lo && u <= u_hi && (r_lo - r_hi).is_finite()) {
+            u = 0.5 * (u_lo + u_hi);
+        }
+        // A trial within half a tolerance of an end is pushed to exactly
+        // that distance: once the interpolation has converged on one side,
+        // this closes the bracket on the other in a single step.
+        let x = u.exp().max(lo + 0.5 * tol).min(hi - 0.5 * tol);
+        let g = f.rate(x);
+        if g == slope {
+            return x;
+        }
+        let (u, r) = (x.ln(), residual(g));
+        if g > slope {
+            // Anderson–Björck: shrink the surviving end's residual by how
+            // much this side's residual fell; plain halving otherwise.
+            if side == 1 {
+                let m = 1.0 - r / r_lo;
+                r_hi *= if m > 0.0 { m } else { 0.5 };
+            }
+            (lo, u_lo, r_lo) = (x, u, r);
+            side = 1;
         } else {
-            hi = mid;
-        }
-        if hi - lo <= 1e-9 * hi.max(1.0) {
-            break;
+            if side == -1 {
+                let m = 1.0 - r / r_hi;
+                r_lo *= if m > 0.0 { m } else { 0.5 };
+            }
+            (hi, u_hi, r_hi) = (x, u, r);
+            side = -1;
         }
     }
     0.5 * (lo + hi)
 }
+
+/// Steps of the numeric intersection after which its bracket must have
+/// halved (in `ln x`); otherwise the next step bisects.
+const HALVING_WINDOW: usize = 4;
 
 /// Sum of the intersection abscissas of the line `y = slope·x` with every
 /// processor graph: the total number of elements the line "distributes".
@@ -259,5 +305,164 @@ mod tests {
         let x = intersect_origin_line(&f, 1e-12);
         use crate::speed::SpeedFunction as _;
         assert!((f.speed(x) - 1e-12 * x).abs() <= 1e-6 * (1e-12 * x).max(1e-300));
+    }
+
+    /// Hides a model's closed-form intersection, so the numeric search
+    /// runs over it, and counts the `rate` evaluations it makes.
+    struct Numeric<'a> {
+        inner: &'a dyn CostFunction,
+        evals: std::cell::Cell<usize>,
+    }
+
+    impl<'a> Numeric<'a> {
+        fn new(inner: &'a dyn CostFunction) -> Self {
+            Self { inner, evals: std::cell::Cell::new(0) }
+        }
+
+        /// Intersects and returns `(abscissa, evaluations)`.
+        fn intersect(&self, slope: f64) -> (f64, usize) {
+            self.evals.set(0);
+            let x = intersect_origin_line(self, slope);
+            (x, self.evals.get())
+        }
+    }
+
+    impl CostFunction for Numeric<'_> {
+        fn time(&self, x: f64) -> f64 {
+            self.inner.time(x)
+        }
+        fn max_size(&self) -> f64 {
+            self.inner.max_size()
+        }
+        fn throughput(&self, x: f64) -> f64 {
+            self.inner.throughput(x)
+        }
+        fn rate(&self, x: f64) -> f64 {
+            self.evals.set(self.evals.get() + 1);
+            self.inner.rate(x)
+        }
+    }
+
+    /// `x` must be the root of `rate = slope` to within the search's
+    /// relative tolerance, or one of the two clamps.
+    fn assert_root(f: &dyn CostFunction, slope: f64, x: f64) {
+        let x_max = f.max_size().min(X_CAP);
+        if x == 0.0 {
+            assert!(f.rate(X_ORIGIN) <= slope, "origin clamp at slope {slope}");
+        } else if x == x_max {
+            assert!(f.rate(x_max) >= slope, "max_size clamp at slope {slope}");
+        } else {
+            assert!(x > 0.0 && x < x_max, "x = {x} outside (0, {x_max})");
+            let tol = 1e-9 * x.max(1.0);
+            assert!(f.rate(x - tol) >= slope, "x = {x} right of the root of slope {slope}");
+            assert!(f.rate(x + tol) <= slope, "x = {x} left of the root of slope {slope}");
+        }
+    }
+
+    /// Slopes whose roots are log-spaced over `[lo, hi]`, plus one past
+    /// each clamp.
+    fn probe_slopes(f: &dyn CostFunction, lo: f64, hi: f64) -> Vec<f64> {
+        let mut slopes: Vec<f64> = (0..=40)
+            .map(|k| f.rate(lo * (hi / lo).powf(k as f64 / 40.0)))
+            .collect();
+        slopes.push(f.rate(X_ORIGIN) * 2.0);
+        slopes.push(f.rate(f.max_size().min(X_CAP)) * 0.5);
+        slopes.retain(|&c| c.is_finite() && c > 0.0);
+        slopes
+    }
+
+    fn speed_knots() -> crate::speed::PiecewiseLinearSpeed {
+        crate::speed::PiecewiseLinearSpeed::new(vec![
+            (1e4, 180.0),
+            (1e6, 175.0),
+            (2e7, 160.0),
+            (4e7, 140.0),
+            (8e7, 40.0),
+            (1.6e8, 0.0),
+        ])
+        .unwrap()
+    }
+
+    fn cost_knots() -> crate::cost::PiecewiseLinearCost {
+        crate::cost::PiecewiseLinearCost::new(vec![
+            (1e3, 0.02),
+            (1e5, 2.5),
+            (1e6, 40.0),
+            (1e7, 700.0),
+            (1e8, 12_000.0),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn numeric_search_matches_the_closed_forms() {
+        let speed = speed_knots();
+        let cost = cost_knots();
+        let models: [&dyn CostFunction; 2] = [&speed, &cost];
+        for f in models {
+            let hidden = Numeric::new(f);
+            for c in probe_slopes(f, 1.0, f.max_size()) {
+                let exact = intersect_origin_line(f, c);
+                let (x, _) = hidden.intersect(c);
+                assert_root(f, c, x);
+                assert!(
+                    (x - exact).abs() <= 1e-9 * exact.max(1.0),
+                    "slope {c}: numeric {x} vs closed form {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sort_and_query_costs_resolve_in_few_evaluations() {
+        use crate::cost::{QueryCost, SortCost};
+        let speed = speed_knots();
+        let cost = cost_knots();
+        let bases: [&dyn CostFunction; 2] = [&speed, &cost];
+        for base in bases {
+            let sort = SortCost::new(base);
+            let query = QueryCost::new(base, 0.5);
+            let models: [&dyn CostFunction; 2] = [&sort, &query];
+            for f in models {
+                let counted = Numeric::new(f);
+                let mut worst = 0;
+                for c in probe_slopes(f, 1.0, f.max_size()) {
+                    let (x, evals) = counted.intersect(c);
+                    assert_root(f, c, x);
+                    worst = worst.max(evals);
+                }
+                assert!(worst <= 20, "{worst} evaluations for one intersection");
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_analytic_shapes_resolve_and_clamp() {
+        let shapes = [
+            AnalyticSpeed::constant(100.0),
+            AnalyticSpeed::decreasing(200.0, 1e6, 2.0),
+            AnalyticSpeed::saturating(150.0, 5e4),
+            AnalyticSpeed::unimodal(250.0, 1e4, 5e6, 2.0),
+            AnalyticSpeed::paging(300.0, 2e6, 3.0),
+            AnalyticSpeed::exp_tail(100.0, 1e4),
+            AnalyticSpeed::step_levels(vec![(1e4, 300.0), (1e6, 120.0), (1e8, 30.0)]),
+        ];
+        for shape in &shapes {
+            let counted = Numeric::new(shape);
+            let mut worst = 0;
+            // exp_tail's rate underflows past ~700 scales.
+            for c in probe_slopes(shape, 1e-3, 1e12) {
+                let (x, evals) = counted.intersect(c);
+                assert_root(shape, c, x);
+                worst = worst.max(evals);
+            }
+            // Flat (saturating) and stepped rates lean on the bisection
+            // safeguard; even they stay far below the step cap.
+            assert!(worst <= 40, "{shape:?}: {worst} evaluations for one intersection");
+        }
+        // Saturating graphs pass through the origin: a line steeper than
+        // the graph everywhere meets it only there.
+        let saturating = &shapes[2];
+        assert_eq!(intersect_origin_line(saturating, 1.0), 0.0);
     }
 }

@@ -24,7 +24,7 @@ use super::problem::{
 };
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// How the trial slope is chosen from the two bounding slopes.
@@ -65,15 +65,11 @@ pub struct BisectionPartitioner {
     /// exists to surface the algorithm's documented worst case instead of
     /// hanging.
     pub max_steps: usize,
-    /// Memoize model probes per run (see [`CachedCost`]): the shrinking
-    /// bracket and the fine-tuning heap revisit the same abscissas many
-    /// times. On by default; disable to measure the raw algorithm.
-    pub eval_cache: bool,
 }
 
 impl Default for BisectionPartitioner {
     fn default() -> Self {
-        Self { slope_mode: SlopeMode::default(), max_steps: 100_000, eval_cache: true }
+        Self { slope_mode: SlopeMode::default(), max_steps: 100_000 }
     }
 }
 
@@ -93,12 +89,6 @@ impl BisectionPartitioner {
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         assert!(max_steps > 0);
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
         self
     }
 
@@ -252,16 +242,8 @@ impl Partitioner for BisectionPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        if self.eval_cache {
-            // One cache per processor, shared by the bracketing, the
-            // bisection iterations and the fine-tuning heap.
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            let bracket = bracket_slopes(n, &cached)?;
-            self.partition_from_bracket(n, &cached, bracket, Trace::default())
-        } else {
-            let bracket = bracket_slopes(n, funcs)?;
-            self.partition_from_bracket(n, funcs, bracket, Trace::default())
-        }
+        let bracket = bracket_slopes(n, funcs)?;
+        self.partition_from_bracket(n, funcs, bracket, Trace::default())
     }
 
     fn resolve_from<F: CostFunction>(
@@ -287,28 +269,14 @@ impl Partitioner for BisectionPartitioner {
         // the optimum further in the same direction, which the bracket
         // widening covers.
         let seed = seed * (prev.total() as f64 / n as f64);
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            match bracket_from_slope_probed(n, &cached, seed) {
-                Ok((bracket, probes)) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.resolve_from_bracket_probed(n, &cached, bracket, trace, probes)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, &cached)?;
-                    self.partition_from_bracket(n, &cached, bracket, Trace::default())
-                }
+        match bracket_from_slope_probed(n, funcs, seed) {
+            Ok((bracket, probes)) => {
+                let trace = Trace { warm_bracket: true, ..Trace::default() };
+                self.resolve_from_bracket_probed(n, funcs, bracket, trace, probes)
             }
-        } else {
-            match bracket_from_slope_probed(n, funcs, seed) {
-                Ok((bracket, probes)) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.resolve_from_bracket_probed(n, funcs, bracket, trace, probes)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, funcs)?;
-                    self.partition_from_bracket(n, funcs, bracket, Trace::default())
-                }
+            Err(_) => {
+                let bracket = bracket_slopes(n, funcs)?;
+                self.partition_from_bracket(n, funcs, bracket, Trace::default())
             }
         }
     }

@@ -28,7 +28,7 @@ use super::problem::{
 };
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// Which algorithm the combined strategy selected for a given problem.
@@ -52,16 +52,11 @@ pub struct CombinedPartitioner {
     pub flatness_threshold: f64,
     /// Step budget handed to the basic stage before falling back.
     pub basic_step_budget: usize,
-    /// Memoize model probes per run (see [`CachedCost`]). One cache per
-    /// processor is shared across the probing step, the chosen algorithm,
-    /// a potential fallback and the fine-tuning heap. On by default;
-    /// disable to measure the raw algorithms.
-    pub eval_cache: bool,
 }
 
 impl Default for CombinedPartitioner {
     fn default() -> Self {
-        Self { flatness_threshold: 0.02, basic_step_budget: 4096, eval_cache: true }
+        Self { flatness_threshold: 0.02, basic_step_budget: 4096 }
     }
 }
 
@@ -69,12 +64,6 @@ impl CombinedPartitioner {
     /// Creates the partitioner with default thresholds.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
-        self
     }
 
     /// Numerical relative log-derivative `|s'(x)|·x/s(x)` of `f`'s
@@ -103,20 +92,6 @@ impl CombinedPartitioner {
         if n == 0 {
             return Ok((empty_report(funcs.len()), CombinedChoice::Basic));
         }
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.partition_explain_inner(n, &cached)
-        } else {
-            self.partition_explain_inner(n, funcs)
-        }
-    }
-
-    /// The Fig. 15 strategy proper, over (possibly cache-wrapped) models.
-    fn partition_explain_inner<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-    ) -> Result<(PartitionReport, CombinedChoice)> {
         let target = n as f64;
         let bracket = bracket_slopes(n, funcs)?;
 
@@ -164,11 +139,9 @@ impl CombinedPartitioner {
             ModifiedPartitioner::new().partition_from_bracket(n, funcs, refined, trace)?;
         Ok((report, CombinedChoice::Modified))
     }
-}
 
-impl CombinedPartitioner {
-    /// The warm path over (possibly cache-wrapped) models: basic bisection
-    /// from the seeded bracket, modified as the usual safety net.
+    /// The warm path: basic bisection from the seeded bracket, modified as
+    /// the usual safety net. `None` when the seed yields no bracket.
     fn resolve_from_inner<F: CostFunction>(
         &self,
         n: u64,
@@ -219,20 +192,7 @@ impl Partitioner for CombinedPartitioner {
         // the optimum further in the same direction, which the bracket
         // widening covers.
         let seed = seed * (prev.total() as f64 / n as f64);
-        // The warm search probes only a handful of slopes, and when every
-        // model answers `intersect_slope` in closed form each model probe
-        // lands on a fresh `x` — the memo table would be written once
-        // per key and never read. Skip the wrapper there; keep it for
-        // models that fall back to the numeric intersection search, whose
-        // exponential bracketing re-probes the same abscissas every sweep.
-        let closed_form = funcs.iter().all(|f| f.intersect_slope(1.0).is_some());
-        let warm = if self.eval_cache && !closed_form {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.resolve_from_inner(n, &cached, seed)
-        } else {
-            self.resolve_from_inner(n, funcs, seed)
-        };
-        match warm {
+        match self.resolve_from_inner(n, funcs, seed) {
             Some(result) => result,
             None => self.partition(n, funcs),
         }

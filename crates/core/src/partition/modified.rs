@@ -26,25 +26,16 @@ use super::problem::{
 };
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// The solution-space bisection partitioner.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ModifiedPartitioner {
     /// Hard step budget. The theoretical bound is `p·log₂ n`; the default
     /// budget is computed per problem as `4·p·log₂(n+2) + 64` when this
     /// field is `None`.
     pub max_steps: Option<usize>,
-    /// Memoize model probes per run (see [`CachedCost`]). On by
-    /// default; disable to measure the raw algorithm.
-    pub eval_cache: bool,
-}
-
-impl Default for ModifiedPartitioner {
-    fn default() -> Self {
-        Self { max_steps: None, eval_cache: true }
-    }
 }
 
 impl ModifiedPartitioner {
@@ -57,12 +48,6 @@ impl ModifiedPartitioner {
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         assert!(max_steps > 0);
         self.max_steps = Some(max_steps);
-        self
-    }
-
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
         self
     }
 
@@ -175,14 +160,8 @@ impl Partitioner for ModifiedPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            let bracket = bracket_slopes(n, &cached)?;
-            self.partition_from_bracket(n, &cached, bracket, Trace::default())
-        } else {
-            let bracket = bracket_slopes(n, funcs)?;
-            self.partition_from_bracket(n, funcs, bracket, Trace::default())
-        }
+        let bracket = bracket_slopes(n, funcs)?;
+        self.partition_from_bracket(n, funcs, bracket, Trace::default())
     }
 
     fn resolve_from<F: CostFunction>(
@@ -208,28 +187,14 @@ impl Partitioner for ModifiedPartitioner {
         // the optimum further in the same direction, which the bracket
         // widening covers.
         let seed = seed * (prev.total() as f64 / n as f64);
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            match bracket_from_slope(n, &cached, seed) {
-                Ok(bracket) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.partition_from_bracket(n, &cached, bracket, trace)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, &cached)?;
-                    self.partition_from_bracket(n, &cached, bracket, Trace::default())
-                }
+        match bracket_from_slope(n, funcs, seed) {
+            Ok(bracket) => {
+                let trace = Trace { warm_bracket: true, ..Trace::default() };
+                self.partition_from_bracket(n, funcs, bracket, trace)
             }
-        } else {
-            match bracket_from_slope(n, funcs, seed) {
-                Ok(bracket) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.partition_from_bracket(n, funcs, bracket, trace)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, funcs)?;
-                    self.partition_from_bracket(n, funcs, bracket, Trace::default())
-                }
+            Err(_) => {
+                let bracket = bracket_slopes(n, funcs)?;
+                self.partition_from_bracket(n, funcs, bracket, Trace::default())
             }
         }
     }

@@ -25,7 +25,7 @@ use super::function::SpeedFunction;
 /// and the fine-tuning heap issues thousands of them per solve. One
 /// Fibonacci multiply mixes the bits plenty for open addressing.
 #[derive(Default)]
-pub(crate) struct BitsHasher(u64);
+struct BitsHasher(u64);
 
 impl Hasher for BitsHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -43,7 +43,7 @@ impl Hasher for BitsHasher {
     }
 }
 
-pub(crate) type BitsMap = HashMap<u64, f64, BuildHasherDefault<BitsHasher>>;
+type BitsMap = HashMap<u64, f64, BuildHasherDefault<BitsHasher>>;
 
 /// A [`SpeedFunction`] decorator that memoizes `speed(x)` per abscissa.
 ///
@@ -151,6 +151,13 @@ impl<F: SpeedFunction> SpeedFunction for CachedSpeed<F> {
 /// evaluation, so concurrent misses on the same abscissa may both evaluate
 /// the inner function — they insert the identical bits, so replay stays
 /// deterministic.
+///
+/// No solve path uses this wrapper any more: the `fpm-serve` registry
+/// stores raw models, because a locked hash lookup (and a map that is
+/// never trimmed) costs far more than the ~13 ns piece-wise evaluation it
+/// replays. The type stays only because the out-of-workspace `perfbench`
+/// crate (`perfbench/src/layers.rs`, `perfbench/src/count.rs`) imports it
+/// to replay traced runs.
 #[derive(Debug)]
 pub struct SharedCachedSpeed<F> {
     inner: F,

@@ -30,7 +30,6 @@ pub mod surface;
 pub use analytic::AnalyticSpeed;
 pub use band::{BandPoint, SpeedBand, WidthLaw};
 pub use builder::{build_speed_band, BuildOutcome, BuilderConfig, Measurer};
-pub(crate) use cached::BitsMap;
 pub use cached::{CachedSpeed, SharedCachedSpeed};
 pub use function::{check_single_intersection, ConstantSpeed, ScaledSpeed, SpeedFunction};
 pub use hierarchical::{HierarchicalSpeed, MemoryLevel};

@@ -39,7 +39,7 @@ pub use fpm_simnet as simnet;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use fpm_core::cost::{CachedCost, CostFunction, PiecewiseLinearCost, QueryCost, SortCost};
+    pub use fpm_core::cost::{CostFunction, PiecewiseLinearCost, QueryCost, SortCost};
     pub use fpm_core::partition::{
         bounded, oracle, BisectionPartitioner, BoundedPartitioner, CombinedPartitioner,
         ContiguousPartitioner, Distribution, ModifiedPartitioner, PartitionReport, Partitioner,

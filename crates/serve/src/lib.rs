@@ -7,11 +7,12 @@
 //! problem sizes, by many applications. This crate turns the partitioners
 //! into a long-lived network service:
 //!
-//! * [`registry`] — named clusters of speed functions, addressable by name
-//!   or content fingerprint, shared across threads via
-//!   [`fpm_core::speed::SharedCachedSpeed`], refined online by the
-//!   `report` verb with a per-cluster epoch bumped on every accepted
-//!   refinement;
+//! * [`registry`] — named clusters of speed and cost models, addressable
+//!   by name or content fingerprint, shared across threads as raw models
+//!   behind `Arc` (the solve path holds no evaluation memo: a piece-wise
+//!   evaluation is cheaper than the lookup that would replay it), refined
+//!   online by the `report` verb with a per-cluster epoch bumped on every
+//!   accepted refinement;
 //! * [`cache`] — a sharded LRU plan cache keyed by `(fingerprint, epoch,
 //!   n, algorithm)` with single-flight deduplication of concurrent misses;
 //! * [`engine`] — bounded admission over the process-wide

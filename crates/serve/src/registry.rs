@@ -5,19 +5,19 @@
 //! A machine is modelled either by a speed function (the paper's
 //! `(size, speed)` knots) or directly in the time domain (`cost_knots`,
 //! `(size, time)` pairs); both erase to [`SharedCost`] for the solver.
-//! Speed models are wrapped in [`SharedCachedSpeed`] so repeated
-//! partitions of the same cluster reuse point evaluations across requests
-//! *and* threads, and the whole cluster is held behind `Arc` so lookups
-//! hand out cheap clones without holding the registry lock during solves.
+//! The erased functions are the raw piece-wise models, with no evaluation
+//! memo: one piece-wise evaluation (~13 ns) is far cheaper than a locked
+//! hash lookup, and a shared memo grows without bound under fresh sizes
+//! (millions of entries after a 30 s cold-solve run). The whole cluster
+//! is held behind `Arc` so lookups hand out cheap clones without holding
+//! the registry lock during solves.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use fpm_core::cost::{CostFunction, PiecewiseLinearCost};
 use fpm_core::speed::builder::BuilderConfig;
-use fpm_core::speed::{
-    ModelRefiner, PiecewiseLinearSpeed, RefineConfig, RefineOutcome, SharedCachedSpeed,
-};
+use fpm_core::speed::{ModelRefiner, PiecewiseLinearSpeed, RefineConfig, RefineOutcome};
 use fpm_exec::model_build::build_cluster_models;
 use fpm_simnet::fluctuation::Integration;
 use fpm_simnet::profile::AppProfile;
@@ -27,10 +27,10 @@ use crate::json::Json;
 use crate::protocol::{ClusterRef, ClusterRefView, ClusterSpec, ProtoError, WireModel};
 
 /// A thread-safe cost function: the erased form every registered machine
-/// is solved through. Speed machines enter as evaluation-cached
-/// [`SharedCachedSpeed`] wrappers (adapted through the blanket
+/// is solved through. Speed machines enter as their raw
+/// [`PiecewiseLinearSpeed`] (adapted through the blanket
 /// `SpeedFunction → CostFunction` impl, so their floating-point path is
-/// unchanged); cost machines enter as [`PiecewiseLinearCost`] directly.
+/// unchanged); cost machines enter as [`PiecewiseLinearCost`].
 pub type SharedCost = Arc<dyn CostFunction + Send + Sync>;
 
 /// Former name of [`SharedCost`], kept for embedders.
@@ -54,6 +54,14 @@ impl MachineModel {
         match self {
             MachineModel::Speed(m) => m.knots(),
             MachineModel::Cost(m) => m.knots(),
+        }
+    }
+
+    /// The erased, shareable form the solvers run over.
+    fn erase(&self) -> SharedCost {
+        match self {
+            MachineModel::Speed(m) => Arc::new(m.clone()),
+            MachineModel::Cost(m) => Arc::new(m.clone()),
         }
     }
 
@@ -96,11 +104,11 @@ pub struct RegisteredCluster {
     pub prev_fingerprint: Option<String>,
     /// Machine names, in model order.
     pub machine_names: Vec<String>,
-    /// The cost functions the engine solves over (speed machines are
-    /// shared and evaluation-cached; cost machines are solved directly).
+    /// The cost functions the engine solves over: the erased form of
+    /// `models`, one shared `Arc` per machine.
     pub funcs: Vec<SharedCost>,
-    /// The raw piece-wise models backing `funcs` — the refiner's input
-    /// for speed machines (the evaluation-cache wrapper is opaque).
+    /// The piece-wise models behind `funcs`, in their own domain — the
+    /// refiner's input for speed machines.
     pub models: Vec<MachineModel>,
     /// Reports that produced a re-fit.
     pub refine_accepted: u64,
@@ -174,17 +182,7 @@ impl Registry {
     ) -> Result<Arc<RegisteredCluster>, ProtoError> {
         let (machine_names, models) = materialise(spec)?;
         let fingerprint = fingerprint_models(&models);
-        let funcs: Vec<SharedCost> = models
-            .iter()
-            .map(|m| match m {
-                MachineModel::Speed(m) => {
-                    Arc::new(SharedCachedSpeed::new(m.clone())) as SharedCost
-                }
-                // Cost evaluation is closed-form (no bisection per point),
-                // so no shared evaluation cache is needed.
-                MachineModel::Cost(m) => Arc::new(m.clone()) as SharedCost,
-            })
-            .collect();
+        let funcs = models.iter().map(MachineModel::erase).collect();
         let refiners = models.iter().map(|_| ModelRefiner::new(RefineConfig::default())).collect();
         let cluster = Arc::new(RegisteredCluster {
             name: name.to_owned(),
@@ -316,10 +314,8 @@ impl Registry {
         let reason = outcome.reason();
         let accepted = outcome.accepted();
         if let RefineOutcome::Refined(model) = outcome {
-            // Fresh evaluation cache: memoised points of the old model
-            // must not leak into the refined one.
-            next.funcs[machine] = Arc::new(SharedCachedSpeed::new(model.clone()));
             next.models[machine] = MachineModel::Speed(model);
+            next.funcs[machine] = next.models[machine].erase();
             next.prev_fingerprint = Some(old.fingerprint.clone());
             next.fingerprint = fingerprint_models(&next.models);
             next.epoch += 1;
@@ -732,5 +728,75 @@ mod tests {
         let now = reg.lookup(&ClusterRef::Name("mix".into())).unwrap();
         assert_eq!(now.epoch, 0);
         assert_eq!(now.fingerprint, c0.fingerprint);
+    }
+
+    /// Solves every planner registry entry over the registered `funcs` and
+    /// over the raw `models`, and requires bit-identical plans (or the same
+    /// error): the solve path must add nothing between the two.
+    fn assert_funcs_solve_like_raw_models(c: &RegisteredCluster) {
+        let raw: Vec<&dyn CostFunction> = c
+            .models
+            .iter()
+            .map(|m| match m {
+                MachineModel::Speed(m) => m as &dyn CostFunction,
+                MachineModel::Cost(m) => m as &dyn CostFunction,
+            })
+            .collect();
+        let funcs: Vec<&dyn CostFunction> = c.funcs.iter().map(|f| &**f as _).collect();
+        for info in fpm_core::planner::registry() {
+            for n in [1u64, 977, 250_000, 3_000_000, 60_000_000] {
+                let label = format!("{} at n={n}, epoch {}", info.name, c.epoch);
+                let id = info.id_with(5e5);
+                match (id.solve(n, &funcs), id.solve(n, &raw)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.distribution.counts(), b.distribution.counts(), "{label}");
+                        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{label}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}"),
+                    (a, b) => panic!("{label}: {:?} vs {:?}", a.err(), b.err()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn registered_funcs_solve_bit_identically_to_raw_models() {
+        let spec = ClusterSpec::Inline(vec![
+            WireModel {
+                name: "S1".into(),
+                knots: vec![(1e3, 200.0), (1e6, 180.0), (1e8, 0.0)],
+                cost: false,
+            },
+            WireModel {
+                name: "C1".into(),
+                knots: vec![(1e3, 0.01), (1e5, 1.5), (1e7, 400.0)],
+                cost: true,
+            },
+            WireModel {
+                name: "S2".into(),
+                knots: vec![(1e4, 90.0), (5e6, 85.0), (4e7, 30.0), (2e8, 0.0)],
+                cost: false,
+            },
+            WireModel {
+                name: "C2".into(),
+                knots: vec![(1e3, 0.05), (1e6, 60.0), (1e8, 9_000.0)],
+                cost: true,
+            },
+        ]);
+        let reg = Registry::new(8);
+        let c0 = reg.register("mix", &spec).unwrap();
+        assert_funcs_solve_like_raw_models(&c0);
+
+        // Two corroborating slow reports refit machine S2.
+        let x = 2e6;
+        let slow = speed_at(&c0.models[2], x) * 0.6;
+        let view = ClusterRefView::Name("mix");
+        reg.report(view, 2, x, elapsed_us_for(x, slow)).unwrap();
+        let refit = reg.report(view, 2, x, elapsed_us_for(x, slow)).unwrap();
+        assert!(refit.accepted, "corroborated drift must refit");
+        let c1 = reg.lookup(&ClusterRef::Name("mix".into())).unwrap();
+        assert_eq!(c1.epoch, 1);
+        assert_ne!(c1.models[2], c0.models[2]);
+        assert_funcs_solve_like_raw_models(&c1);
     }
 }
